@@ -298,8 +298,7 @@ func BenchmarkE14Collectives(b *testing.B) {
 }
 
 // BenchmarkE15Transports runs the identical FT ring over each fabric:
-// the in-memory baseline and TCP loopback under both wire codecs (the
-// gob baseline the fabric used to ship vs the pooled binary framing).
+// the in-memory baseline and TCP loopback with the pooled binary framing.
 func BenchmarkE15Transports(b *testing.B) {
 	const n = 8
 	fabrics := []struct {
@@ -307,7 +306,6 @@ func BenchmarkE15Transports(b *testing.B) {
 		make func() transport.Fabric
 	}{
 		{"local", func() transport.Fabric { return transport.NewLocal() }},
-		{"tcp-gob", func() transport.Fabric { return transport.NewTCPCodec(n, transport.CodecGob) }},
 		{"tcp-binary", func() transport.Fabric { return transport.NewTCP(n) }},
 	}
 	for _, f := range fabrics {

@@ -99,13 +99,12 @@ func main() {
 	for _, e := range toRun {
 		fmt.Printf("---- %s: %s (%s) ----\n", e.ID, e.Title, e.PaperRef)
 		tables, err := e.Run(opt)
+		for _, t := range tables {
+			fmt.Println(t.Render())
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %s failed: %v\n", e.ID, err)
 			failed++
-			continue
-		}
-		for _, t := range tables {
-			fmt.Println(t.Render())
 		}
 	}
 	fmt.Printf("suite finished in %v (%d experiments, %d failed)\n",

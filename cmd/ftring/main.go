@@ -43,24 +43,24 @@ import (
 
 func main() {
 	var (
-		n        = flag.Int("n", 8, "number of ranks")
-		iters    = flag.Int("iters", 16, "ring iterations (the paper's max_iter)")
-		variant  = flag.String("variant", "full", "receive design: unaware|naive|no-marker|separate-tag|full")
-		term     = flag.String("term", "root-bcast", "termination: none|root-bcast|validate-all")
-		rootPol  = flag.String("root", "abort", "root policy: abort|elect")
-		kills    killFlags
-		randomF  = flag.Int("random-failures", 0, "kill this many random non-root ranks")
-		seed     = flag.Int64("seed", 1, "seed for -random-failures")
-		fabric   = flag.String("transport", "local", "fabric: local|tcp|tcpgob|latency")
-		latency  = flag.Duration("latency", 100*time.Microsecond, "per-hop delay for -transport latency")
-		deadline = flag.Duration("deadline", 15*time.Second, "watchdog (0 = none)")
-		padding  = flag.Int("padding", 0, "extra payload bytes per message")
-		doTrace  = flag.Bool("trace", false, "print the event timeline")
-		doStats  = flag.Bool("stats", true, "print per-rank statistics")
-		traceOut = flag.String("trace-out", "", "stream the event timeline as JSONL to this file (see cmd/traceconv)")
-		obsAddr  = flag.String("obs", "", "serve /metrics, /debug/vars, /debug/pprof on this address (e.g. 127.0.0.1:9464)")
-		obsHold  = flag.Duration("obs-linger", 0, "keep the -obs endpoint up this long after the run (for scrapers)")
-		elastic  = flag.Bool("elastic", false, "run the elastic repair demo instead of the ring: a seeded victim dies holding the token, AutoRespawn reincarnates its slot at the next generation, the ring resumes exactly-once at full size (fixed world size; honors -seed, -obs, -stats)")
+		n         = flag.Int("n", 8, "number of ranks")
+		iters     = flag.Int("iters", 16, "ring iterations (the paper's max_iter)")
+		variant   = flag.String("variant", "full", "receive design: unaware|naive|no-marker|separate-tag|full")
+		term      = flag.String("term", "root-bcast", "termination: none|root-bcast|validate-all")
+		rootPol   = flag.String("root", "abort", "root policy: abort|elect")
+		kills     killFlags
+		randomF   = flag.Int("random-failures", 0, "kill this many random non-root ranks")
+		seed      = flag.Int64("seed", 1, "seed for -random-failures")
+		fabric    = flag.String("transport", "local", "fabric: local|tcp|latency")
+		latency   = flag.Duration("latency", 100*time.Microsecond, "per-hop delay for -transport latency")
+		deadline  = flag.Duration("deadline", 15*time.Second, "watchdog (0 = none)")
+		padding   = flag.Int("padding", 0, "extra payload bytes per message")
+		doTrace   = flag.Bool("trace", false, "print the event timeline")
+		doStats   = flag.Bool("stats", true, "print per-rank statistics")
+		traceOut  = flag.String("trace-out", "", "stream the event timeline as JSONL to this file (see cmd/traceconv)")
+		obsAddr   = flag.String("obs", "", "serve /metrics, /debug/vars, /debug/pprof on this address (e.g. 127.0.0.1:9464)")
+		obsHold   = flag.Duration("obs-linger", 0, "keep the -obs endpoint up this long after the run (for scrapers)")
+		elastic   = flag.Bool("elastic", false, "run the elastic repair demo instead of the ring: a seeded victim dies holding the token, AutoRespawn reincarnates its slot at the next generation, the ring resumes exactly-once at full size (fixed world size; honors -seed, -obs, -stats)")
 		replicas  = flag.Int("replicas", 0, "run the replication demo with this many hot replicas per logical rank: a seeded replica is killed mid-run and a standby is promoted without the fault-unaware ring ever noticing (fixed logical ring size; honors -seed, -obs, -stats, -trace-out; R=1 runs failure-free)")
 		repMode   = flag.String("rep-mode", "fanout", "replication propagation mode for -replicas: fanout|chain (chain relays through the primary with tail-acked durability)")
 		repRefill = flag.Bool("rep-refill", true, "with -replicas, automatically re-replicate the killed slot (the run waits until the group is back at full degree)")
@@ -189,18 +189,17 @@ func main() {
 		fmt.Printf("observability endpoint: http://%s/metrics\n", srv.Addr())
 	}
 
-	if *elastic {
-		runElasticDemo(*seed, *n, mets, reg, *doStats, obsSrv, *obsHold)
-		return
-	}
-	if *replicas > 0 {
-		runReplicaDemo(*seed, *replicas, *repMode, *repRefill, rec, mets, reg, *doStats, obsSrv, *obsHold)
-		if jsonl != nil {
-			if cerr := jsonl.Close(); cerr != nil {
-				fatal(cerr)
-			}
-			fmt.Printf("trace written: %s (%d events, %d truncated)\n",
-				*traceOut, rec.Recorded(), rec.Truncated())
+	if *elastic || *replicas > 0 {
+		var ok bool
+		if *elastic {
+			ok = runElasticDemo(*seed, mets, reg, *doStats)
+		} else {
+			ok = runReplicaDemo(*seed, *replicas, *repMode, *repRefill, rec, mets, reg, *doStats)
+		}
+		closeTrace(jsonl, rec, *traceOut)
+		linger(obsSrv, *obsHold)
+		if !ok {
+			os.Exit(1)
 		}
 		return
 	}
@@ -209,8 +208,6 @@ func main() {
 	case "local":
 	case "tcp":
 		mcfg.Fabric = ftmpi.NewTCPFabric(*n)
-	case "tcpgob":
-		mcfg.Fabric = ftmpi.NewTCPGobFabric(*n)
 	case "latency":
 		mcfg.Fabric = ftmpi.NewLatencyFabric(ftmpi.NewLocalFabric(), *latency)
 	default:
@@ -249,106 +246,93 @@ func main() {
 
 	if *doStats && report != nil {
 		printStats(report, res)
-		fmt.Println("\nruntime counters:")
-		fmt.Print(mets.Render())
-		if lat := reg.Snapshot().Render(); lat != "" {
-			fmt.Println("\nlatency quantiles:")
-			fmt.Print(lat)
-		}
+		printCounters(mets, reg)
 	}
 	if *doTrace && rec != nil {
 		fmt.Println("\nevent timeline:")
 		fmt.Print(rec.RenderByRank())
 	}
-	if jsonl != nil {
-		if cerr := jsonl.Close(); cerr != nil {
-			fatal(cerr)
-		}
-		fmt.Printf("trace written: %s (%d events, %d truncated)\n",
-			*traceOut, rec.Recorded(), rec.Truncated())
-	}
-	if obsSrv != nil && *obsHold > 0 {
-		fmt.Printf("keeping observability endpoint up for %v\n", *obsHold)
-		time.Sleep(*obsHold)
-	}
-	if obsSrv != nil {
-		_ = obsSrv.Close()
-	}
+	closeTrace(jsonl, rec, *traceOut)
+	linger(obsSrv, *obsHold)
 	if err != nil {
 		os.Exit(1)
 	}
 }
 
 // runElasticDemo drives the E21 elastic repair protocol once (kill a
-// seeded victim holding the ring token, AutoRespawn its slot at the next
-// generation, resume exactly-once, epilogue shrink back to full size)
-// over ftring's own metrics recorder and histogram registry, so -obs and
-// -stats expose the respawn/shrink/stale-generation counters.
-func runElasticDemo(seed int64, n int, mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry,
-	doStats bool, obsSrv *ftmpi.ObsServer, obsHold time.Duration) {
-	fmt.Printf("elastic repair demo (seed %d): %d ranks under chaos, victim dies holding the token\n", seed, n)
+// victim holding the ring token, AutoRespawn its slot, resume
+// exactly-once, epilogue shrink back to full size) over ftring's own
+// metrics recorder and histogram registry, so -obs and -stats expose the
+// respawn/shrink counters and latencies. It reports whether the demo
+// completed.
+func runElasticDemo(seed int64, mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry, doStats bool) bool {
+	fmt.Printf("elastic repair demo (seed %d): %d ranks under chaos, victim dies holding the token\n",
+		seed, workload.ElasticDemoRanks)
 	table, err := workload.RunElasticDemo(seed, mets, reg)
-	if err != nil {
-		fmt.Printf("RESULT: elastic repair FAILED: %v\n", err)
-	} else {
-		fmt.Printf("RESULT: elastic repair completed\n")
-		fmt.Print(table.Render())
-	}
-	if doStats {
-		fmt.Println("\nruntime counters:")
-		fmt.Print(mets.Render())
-		if lat := reg.Snapshot().Render(); lat != "" {
-			fmt.Println("\nlatency quantiles:")
-			fmt.Print(lat)
-		}
-	}
-	if obsSrv != nil && obsHold > 0 {
-		fmt.Printf("keeping observability endpoint up for %v\n", obsHold)
-		time.Sleep(obsHold)
-	}
-	if obsSrv != nil {
-		_ = obsSrv.Close()
-	}
-	if err != nil {
-		os.Exit(1)
-	}
+	return reportDemo("elastic repair", table, err, mets, reg, doStats)
 }
 
 // runReplicaDemo drives the E22 replication protocol once (a seeded
 // replica of the R-way replicated fault-unaware ring is killed mid-run; a
 // standby is promoted and the app never sees an error) over ftring's own
 // metrics recorder and histogram registry, so -obs and -stats expose the
-// promotion/dedup counters and the replica_promotion latency family.
+// promotion/dedup counters and the replica_promotion latency family. It
+// reports whether the demo completed.
 func runReplicaDemo(seed int64, r int, mode string, refill bool, rec *ftmpi.Tracer,
-	mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry,
-	doStats bool, obsSrv *ftmpi.ObsServer, obsHold time.Duration) {
+	mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry, doStats bool) bool {
 	fmt.Printf("replication demo (seed %d): %d logical ranks x %d replicas (%s mode) under chaos, one replica killed mid-run\n",
 		seed, workload.ReplicaDemoRanks, r, mode)
 	table, err := workload.RunReplicaDemo(seed, r, mode, refill, rec, mets, reg)
+	return reportDemo("replication soak", table, err, mets, reg, doStats)
+}
+
+// reportDemo prints a demo's RESULT line and table, then the counters
+// when doStats is set. It reports whether the demo completed.
+func reportDemo(what string, table *workload.Table, err error,
+	mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry, doStats bool) bool {
 	if err != nil {
-		fmt.Printf("RESULT: replication soak FAILED: %v\n", err)
+		fmt.Printf("RESULT: %s FAILED: %v\n", what, err)
 	} else {
-		fmt.Printf("RESULT: replication soak completed\n")
+		fmt.Printf("RESULT: %s completed\n", what)
 		fmt.Print(table.Render())
 	}
 	if doStats {
-		fmt.Println("\nruntime counters:")
-		fmt.Print(mets.Render())
-		if lat := reg.Snapshot().Render(); lat != "" {
-			fmt.Println("\nlatency quantiles:")
-			fmt.Print(lat)
-		}
+		printCounters(mets, reg)
 	}
-	if obsSrv != nil && obsHold > 0 {
-		fmt.Printf("keeping observability endpoint up for %v\n", obsHold)
-		time.Sleep(obsHold)
+	return err == nil
+}
+
+// printCounters prints the runtime counters and the latency quantiles.
+func printCounters(mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry) {
+	fmt.Println("\nruntime counters:")
+	fmt.Print(mets.Render())
+	if lat := reg.Snapshot().Render(); lat != "" {
+		fmt.Println("\nlatency quantiles:")
+		fmt.Print(lat)
 	}
-	if obsSrv != nil {
-		_ = obsSrv.Close()
+}
+
+// closeTrace flushes the -trace-out stream, if one is open.
+func closeTrace(jsonl *ftmpi.TraceJSONLWriter, rec *ftmpi.Tracer, path string) {
+	if jsonl == nil {
+		return
 	}
-	if err != nil {
-		os.Exit(1)
+	if err := jsonl.Close(); err != nil {
+		fatal(err)
 	}
+	fmt.Printf("trace written: %s (%d events, %d truncated)\n", path, rec.Recorded(), rec.Truncated())
+}
+
+// linger keeps the -obs endpoint up for hold, for scrapers, then closes it.
+func linger(obsSrv *ftmpi.ObsServer, hold time.Duration) {
+	if obsSrv == nil {
+		return
+	}
+	if hold > 0 {
+		fmt.Printf("keeping observability endpoint up for %v\n", hold)
+		time.Sleep(hold)
+	}
+	_ = obsSrv.Close()
 }
 
 func printStats(report *core.Report, res *ftmpi.RunResult) {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,52 +11,25 @@ import (
 	"time"
 )
 
-// Codec selects the wire encoding of the TCP fabric.
-type Codec uint8
-
-const (
-	// CodecBinary is the length-prefixed binary frame format of codec.go:
-	// a fixed 42-byte header written with encoding/binary into pooled
-	// buffers, followed by the raw payload. This is the default.
-	CodecBinary Codec = iota
-	// CodecGob is the original reflection-based gob stream. It is kept as
-	// the comparison baseline for the E15 transport experiment.
-	CodecGob
-)
-
-// String returns a short name for the codec.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
 // TCP is a loopback-socket fabric: every rank owns a listener on
-// 127.0.0.1, and packets are framed over cached connections — binary
-// frames by default, gob as a baseline (NewTCPCodec). It drives the exact
-// same engine code as the Local fabric through a real network stack, which
-// is what the E15 transport experiment compares.
+// 127.0.0.1, and packets travel as binary frames (codec.go) over cached
+// connections. It drives the exact same engine code as the Local fabric
+// through a real network stack, which is what the E15 transport
+// experiment compares.
 //
 // Ordering: one outbound connection exists per destination and frames are
-// handed to it in Send order (per-connection writer goroutine for the
-// binary codec, per-connection lock for gob), so packets from any given
+// handed to its writer goroutine in Send order, so packets from any given
 // source to a destination are FIFO — the ordering the matching engine
 // requires.
 //
 // Concurrency: there is no global send lock. Send touches only the
 // per-destination connection state, so sends to distinct destinations
-// proceed in parallel. For the binary codec, Send encodes the frame into a
-// pooled buffer and enqueues it on the connection's writer, which
-// coalesces whatever is queued into one buffered write and flushes
-// explicitly once the queue is empty.
+// proceed in parallel. Send encodes the frame into a pooled buffer and
+// enqueues it on the connection's writer, which coalesces whatever is
+// queued into one buffered write and flushes explicitly once the queue is
+// empty.
 type TCP struct {
-	n     int
-	codec Codec
+	n int
 
 	started atomic.Bool
 	closed  atomic.Bool
@@ -112,21 +84,15 @@ type tcpConn struct {
 	mu    sync.Mutex
 	state connState
 	conn  net.Conn
-	enc   *gob.Encoder // CodecGob only
 
-	// CodecBinary only: encoded frames travel Send -> writeLoop here.
+	// Encoded frames travel Send -> writeLoop here.
 	frames chan *frameBuf
 	done   chan struct{}
 }
 
-// NewTCP creates a TCP fabric for n ranks using the binary codec.
-// Listeners are created in Start.
-func NewTCP(n int) *TCP { return NewTCPCodec(n, CodecBinary) }
-
-// NewTCPCodec creates a TCP fabric with an explicit wire codec.
-func NewTCPCodec(n int, codec Codec) *TCP {
-	return &TCP{n: n, codec: codec}
-}
+// NewTCP creates a TCP fabric for n ranks. Listeners are created in
+// Start.
+func NewTCP(n int) *TCP { return &TCP{n: n} }
 
 // NonRetainingSend marks that TCP.Send copies everything it needs (into
 // an encoded frame) before returning: callers may immediately reuse or
@@ -187,23 +153,6 @@ func (t *TCP) acceptLoop(rank int, ln net.Listener) {
 func (t *TCP) readLoop(rank int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	if t.codec == CodecGob {
-		dec := gob.NewDecoder(conn)
-		for {
-			var pkt Packet
-			if err := dec.Decode(&pkt); err != nil {
-				if err != io.EOF {
-					t.recordErr(fmt.Errorf("transport: read for rank %d (%s <- %s): %w",
-						rank, conn.LocalAddr(), conn.RemoteAddr(), err))
-				}
-				return // peer closed or world shut down
-			}
-			if t.closed.Load() {
-				return
-			}
-			t.deliver(pkt.Dst, &pkt)
-		}
-	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var hdr [FrameHeaderSize]byte
 	for {
@@ -239,13 +188,6 @@ func (t *TCP) Send(pkt *Packet) error {
 		return nil
 	}
 	tc := t.conns[pkt.Dst]
-	if t.codec == CodecGob {
-		return t.sendGob(tc, pkt)
-	}
-	return t.sendBinary(tc, pkt)
-}
-
-func (t *TCP) sendBinary(tc *tcpConn, pkt *Packet) error {
 	fb := getFrameBuf()
 	b, err := AppendFrame(fb.b, pkt)
 	if err != nil {
@@ -264,22 +206,6 @@ func (t *TCP) sendBinary(tc *tcpConn, pkt *Packet) error {
 		putFrameBuf(fb)
 		return nil // closed while waiting: silent drop
 	}
-}
-
-func (t *TCP) sendGob(tc *tcpConn, pkt *Packet) error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if !tc.dialLocked(t, pkt.Src) {
-		return nil
-	}
-	if err := tc.enc.Encode(pkt); err != nil {
-		// The connection was closed under us (Close race) or the peer is
-		// gone: mark it down and drop silently per the Fabric contract.
-		tc.state = connDown
-		_ = tc.conn.Close()
-		return nil
-	}
-	return nil
 }
 
 // ensureDialed dials the destination on first use and starts its write
@@ -308,12 +234,8 @@ func (tc *tcpConn) dialLocked(t *TCP, src int) bool {
 	}
 	tc.conn = conn
 	tc.state = connUp
-	if t.codec == CodecGob {
-		tc.enc = gob.NewEncoder(conn)
-	} else {
-		t.wgWriters.Add(1)
-		go t.writeLoop(tc, conn)
-	}
+	t.wgWriters.Add(1)
+	go t.writeLoop(tc, conn)
 	return true
 }
 

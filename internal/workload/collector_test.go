@@ -23,22 +23,24 @@ import (
 func TestCollectorCoversAllFamilies(t *testing.T) {
 	c := NewCollector()
 	opt := Options{Quick: true, Seed: 1, Collector: c}
-	if _, err := runDetectionWorld(opt, 16, mpi.DetectorSwim); err != nil {
-		t.Fatal(err)
-	}
-	// Seed 1 kills physical slot 1 — a primary, so the run exercises a
-	// promotion and its latency sample, not just the fan-out counters.
-	rcfg := replicaCfg{r: 2, mode: mpi.ReplFanout, kill: true,
-		laps: replicaBaseLaps, chaos: true}
-	if _, err := runReplicaWorld(opt, rcfg, 1, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	// One chain-mode durability world with a forward-window kill (seed 2
-	// is even) lights the tail-ack counters (chain_acks, a guaranteed
-	// chain_resends) and the auto re-replication pipeline (replica_refills
-	// + rereplication_latency samples).
-	if _, err := runDurabilityWorld(opt, mpi.ReplChain, 2, nil, nil); err != nil {
-		t.Fatal(err)
+	for _, w := range []struct {
+		row  Scenario
+		seed int64
+	}{
+		{detectionRow(16, mpi.DetectorSwim), 1},
+		// Seed 1 kills physical slot 1 — a primary, so the run exercises
+		// a promotion and its latency sample, not just the fan-out
+		// counters.
+		{replicaRow(opt, 2, mpi.ReplFanout, tokenSpec{laps: replicaBaseLaps}), 1},
+		// One chain-mode durability world with a forward-window kill (seed
+		// 2 is even) lights the tail-ack counters (chain_acks, a
+		// guaranteed chain_resends) and the auto re-replication pipeline
+		// (replica_refills + rereplication_latency samples).
+		{durabilityRow(mpi.ReplChain), 2},
+	} {
+		if err := runScenario(opt, w.row, w.seed).Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.Runs() < 3 {
 		t.Fatalf("collector absorbed %d worlds, want 3", c.Runs())

@@ -1,7 +1,8 @@
 // Package workload is the experiment harness behind cmd/ftbench and
 // EXPERIMENTS.md: it programmatically re-runs every experiment in the
-// per-experiment index of DESIGN.md (E1-E20) — one per figure or claim of
-// the paper — and renders the result tables.
+// per-experiment index of DESIGN.md (E1–E24) — one per figure or claim of
+// the paper — and renders the result tables. The seeded soaks (E18–E24)
+// are declarative Scenario rows run by one harness (scenario.go).
 package workload
 
 import (
@@ -13,7 +14,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/membership"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Table is an ordered result table for one experiment.
@@ -104,10 +104,6 @@ type Options struct {
 	// sweep: mpi.ReplFanout or mpi.ReplChain ("" keeps the fanout
 	// default). E24 always sweeps both modes regardless.
 	RepMode string
-	// Tracer, when non-nil, records every world's causal event stream
-	// (E23's recovery forensics run one recorder per seeded world and
-	// audit it for message conservation).
-	Tracer *trace.Recorder
 }
 
 // obsMaxRanks caps the world size that gets a histogram registry: each

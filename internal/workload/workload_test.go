@@ -1,9 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/metrics"
+	"repro/internal/mpi"
 )
 
 func TestTableRender(t *testing.T) {
@@ -73,23 +78,82 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	}
 }
 
+// requirePassed fails the test on every broken verdict, naming the
+// scenario, the seed and the invariant that broke.
+func requirePassed(t *testing.T, groups ...[]Verdict) {
+	t.Helper()
+	for _, g := range groups {
+		for _, v := range g {
+			if err := v.Err(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// families collects the latency families with samples over verdicts.
+func families(groups ...[]Verdict) map[string]bool {
+	out := map[string]bool{}
+	for f, s := range mergeLat(groups...) {
+		if s.Count > 0 {
+			out[f.String()] = true
+		}
+	}
+	return out
+}
+
+// TestSweepReportsBrokenInvariant is the harness contract: a seed that
+// breaks an invariant yields a verdict naming the seed and that
+// invariant, the sweep still runs every seed, and the experiment-level
+// error names the first broken seed and invariant.
+func TestSweepReportsBrokenInvariant(t *testing.T) {
+	row := chaosRows()[1]
+	row.Chaos = nil
+	row.Invariants = append(row.Invariants, Invariant{"even seeds only", func(r *run) error {
+		if r.seed%2 == 0 {
+			return nil
+		}
+		return fmt.Errorf("seed %d is odd", r.seed)
+	}})
+	groups := sweep(Options{Seed: 2}, 4, []Scenario{row})
+	if got := len(groups[0]); got != 4 {
+		t.Fatalf("sweep ran %d seeds, want 4", got)
+	}
+	for _, v := range groups[0] {
+		wantBroken := v.Seed%2 == 1
+		if (v.Broken != "") != wantBroken {
+			t.Fatalf("seed %d: Broken=%q, want broken=%v", v.Seed, v.Broken, wantBroken)
+		}
+		if wantBroken && !strings.HasPrefix(v.Broken, "even seeds only: ") {
+			t.Fatalf("seed %d: Broken=%q does not name the invariant", v.Seed, v.Broken)
+		}
+	}
+	err := brokenErr(groups...)
+	if err == nil {
+		t.Fatal("sweep with broken seeds returned no error")
+	}
+	for _, want := range []string{"2 of 4 seeds broken", "validate_all seed 3", "even seeds only: seed 3 is odd"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
 // TestChaosSoakAllSeedsOK is the acceptance gate for the chaos fabric:
 // every seed of every E18 workload must complete with its application
 // invariant intact. Full sweep is 20 seeds x 3 workloads; -short shrinks
 // it to the quick sweep.
 func TestChaosSoakAllSeedsOK(t *testing.T) {
 	opt := Options{Quick: testing.Short(), Seed: 1}
-	tables, err := runChaosSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tables[0].Rows {
-		if row[1] != row[2] {
-			t.Fatalf("workload %q: only %s of %s seeds ok\n%s",
-				row[0], row[2], row[1], tables[0].Render())
-		}
-		if row[3] == "0" {
-			t.Fatalf("workload %q injected no drops — chaos not wired?", row[0])
+	rows := chaosRows()
+	groups := sweep(opt, soakSeeds(opt, 20, 4), rows)
+	requirePassed(t, groups...)
+	for i, g := range groups {
+		if injected(g, chaos.EvDrop) == 0 {
+			t.Fatalf("workload %q injected no drops — chaos not wired?", rows[i].Name)
 		}
 	}
 }
@@ -101,39 +165,27 @@ func TestChaosSoakAllSeedsOK(t *testing.T) {
 // seeds x 3 workloads; -short shrinks it to the quick sweep.
 func TestHeartbeatSoakAllSeedsOK(t *testing.T) {
 	opt := Options{Quick: testing.Short(), Seed: 1}
-	tables, err := runHeartbeatSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tables[0].Rows {
-		if row[1] != row[2] {
-			t.Fatalf("workload %q: only %s of %s seeds ok\n%s",
-				row[0], row[2], row[1], tables[0].Render())
-		}
-		if row[3] == "0" {
-			t.Fatalf("workload %q sent no heartbeats — detector not wired?", row[0])
-		}
-		if row[4] == "0" {
-			t.Fatalf("workload %q raised no suspicions — nothing was detected?", row[0])
-		}
-		if row[9] == "0" {
-			t.Fatalf("workload %q confirmed no failures\n%s", row[0], tables[0].Render())
+	rows := heartbeatRows()
+	groups := sweep(opt, soakSeeds(opt, 20, 4), rows)
+	requirePassed(t, groups...)
+	for i, g := range groups {
+		for _, c := range []metrics.Counter{metrics.Heartbeats, metrics.Suspicions, metrics.Confirms} {
+			if total(g, c) == 0 {
+				t.Fatalf("workload %q: %s is zero — detector not wired or nothing detected?", rows[i].Name, c)
+			}
 		}
 	}
 	// The detection latency families must reach the quantile table.
-	families := map[string]bool{}
-	for _, row := range tables[1].Rows {
-		families[row[1]] = true
-	}
+	got := families(groups...)
 	for _, want := range []string{"suspicion_latency", "fence_rtt"} {
-		if !families[want] {
-			t.Fatalf("family %q missing from latency table\n%s", want, tables[1].Render())
+		if !got[want] {
+			t.Fatalf("family %q missing from the merged latencies: %v", want, got)
 		}
 	}
 }
 
 // TestSwimSoakDetectionFlat is the acceptance gate for the SWIM
-// detector: E20 must complete with its two in-run assertions intact —
+// detector: E20 must complete with its two sweep-wide bounds intact —
 // detection-latency p99 flat vs N (bounded by the mesh baseline with a
 // floor) and O(1) control frames per rank per period. -short shrinks the
 // sweep to the quick sizes (mesh at 32, swim up to 1024), as does the
@@ -142,69 +194,62 @@ func TestHeartbeatSoakAllSeedsOK(t *testing.T) {
 // instrumentation, not the detector.
 func TestSwimSoakDetectionFlat(t *testing.T) {
 	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runSwimSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if rows[0][0] != "heartbeat mesh" {
-		t.Fatalf("first row should be the mesh baseline\n%s", tables[0].Render())
+	rows := swimRows(opt)
+	if rows[0].Detector != mpi.DetectorHeartbeat {
+		t.Fatalf("first row should be the mesh baseline, got %q", rows[0].Name)
 	}
 	wantRows := 4 // mesh + swim at 64, 256, 1024
 	if raceEnabled {
 		wantRows = 3 // race builds cap the sweep at 256
 	}
 	if len(rows) < wantRows {
-		t.Fatalf("want mesh + >=%d swim sizes, got %d rows\n%s", wantRows-1, len(rows), tables[0].Render())
+		t.Fatalf("want mesh + >=%d swim sizes, got %d rows", wantRows-1, len(rows))
 	}
-	for _, row := range rows {
-		if row[2] == "0" {
-			t.Fatalf("detector %q at n=%s observed no detection samples\n%s",
-				row[0], row[1], tables[0].Render())
-		}
-		if row[8] == "0" {
-			t.Fatalf("detector %q at n=%s confirmed nothing\n%s",
-				row[0], row[1], tables[0].Render())
-		}
+	groups := sweep(opt, 1, rows)
+	requirePassed(t, groups...)
+	if _, err := swimTables(rows, groups); err != nil {
+		t.Fatal(err)
 	}
-	// The swim rows must gossip: confirms reach non-fencing ranks only
-	// through the piggyback channel.
-	for _, row := range rows[1:] {
-		if row[7] == "0" {
-			t.Fatalf("swim at n=%s had no gossip learns\n%s", row[1], tables[0].Render())
+	for i, g := range groups {
+		v := g[0]
+		if len(v.Samples) == 0 {
+			t.Fatalf("%s observed no detection samples", rows[i].Name)
+		}
+		if v.Count(metrics.Confirms) == 0 {
+			t.Fatalf("%s confirmed nothing", rows[i].Name)
+		}
+		// The swim rows must gossip: confirms reach non-fencing ranks only
+		// through the piggyback channel.
+		if i > 0 && v.Count(metrics.GossipLearns) == 0 {
+			t.Fatalf("%s had no gossip learns", rows[i].Name)
 		}
 	}
 }
 
 // TestElasticSoak is the acceptance gate for elastic worlds: E21 must
-// complete every seeded run with its in-run assertions intact — the
-// victim respawned at generation 2, rank 0 observed every lap exactly
-// once in order (no loss from the token dying with its holder, no
-// duplicate from the resend), the verification laps crossed the full
-// ring including the reincarnation, and the recovered state was at least
-// as fresh as the kill lap. -short and race builds shrink the sweep from
-// 20 seeds to 6.
+// complete every seeded run with its invariants intact — the victim
+// respawned at generation 2, rank 0 observed every lap exactly once in
+// order (no loss from the token dying with its holder, no duplicate from
+// the resend), the verification laps crossed the full ring including the
+// reincarnation, and the recovered state was at least as fresh as the
+// kill lap. -short and race builds shrink the sweep from 20 seeds to 6.
 func TestElasticSoak(t *testing.T) {
 	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runElasticSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := sweep(opt, soakSeeds(opt, 20, 6), []Scenario{elasticRow(opt)})
+	requirePassed(t, groups...)
 	wantSeeds := 20
 	if opt.Quick {
 		wantSeeds = 6
 	}
-	rows := tables[0].Rows
-	if len(rows) != wantSeeds {
-		t.Fatalf("want %d seed rows, got %d\n%s", wantSeeds, len(rows), tables[0].Render())
+	if len(groups[0]) != wantSeeds {
+		t.Fatalf("want %d seed verdicts, got %d", wantSeeds, len(groups[0]))
 	}
-	victims := map[string]bool{}
-	for _, row := range rows {
-		victims[row[1]] = true
+	positions := map[int]bool{}
+	for _, v := range groups[0] {
+		positions[v.Kill.victim()] = true
 	}
-	if len(victims) < 2 {
-		t.Fatalf("seeds covered only victim(s) %v — the sweep is not exercising ring positions\n%s",
-			victims, tables[0].Render())
+	if len(positions) < 2 {
+		t.Fatalf("seeds covered only victim(s) %v — the sweep is not exercising ring positions", positions)
 	}
 }
 
@@ -214,49 +259,45 @@ func TestElasticSoak(t *testing.T) {
 // lap exactly once, no rank function ever observes an error, the
 // validates/resends counters stay at zero, and a promotion happens
 // exactly when the victim was a primary. The sweep must cover both roles
-// and the overhead table must show R=2 costing more than the R=1
-// baseline (replication is not free — that is the trade E22 documents).
-// -short and race builds shrink the sweep from 20 seeds to 6.
+// and the overhead rows must show R=2 sending replica copies (replication
+// is not free — that is the trade E22 documents). -short and race builds
+// shrink the sweep from 20 seeds to 6.
 func TestReplicaSoak(t *testing.T) {
 	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runReplicaSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kills := sweep(opt, soakSeeds(opt, 20, 6),
+		[]Scenario{replicaRow(opt, 2, mpi.ReplFanout, tokenSpec{laps: replicaBaseLaps})})
+	requirePassed(t, kills...)
 	wantSeeds := 20
 	if opt.Quick {
 		wantSeeds = 6
 	}
-	rows := tables[0].Rows
-	if len(rows) != wantSeeds {
-		t.Fatalf("want %d seed rows, got %d\n%s", wantSeeds, len(rows), tables[0].Render())
+	if len(kills[0]) != wantSeeds {
+		t.Fatalf("want %d seed verdicts, got %d", wantSeeds, len(kills[0]))
 	}
 	roles := map[string]bool{}
-	for _, row := range rows {
-		roles[row[2]] = true
+	for _, v := range kills[0] {
+		roles[v.Kill.Role()] = true
 	}
 	if !roles["primary"] || !roles["standby"] {
-		t.Fatalf("seeds covered only role(s) %v — the sweep must kill both primaries and standbys\n%s",
-			roles, tables[0].Render())
+		t.Fatalf("seeds covered only role(s) %v — the sweep must kill both primaries and standbys", roles)
 	}
-	// Overhead table: baseline first, then R=2 rows with overhead-x > 1.
-	ov := tables[1].Rows
-	if len(ov) != 3 || !strings.Contains(ov[0][0], "R=1") {
-		t.Fatalf("overhead table should be R=1 baseline + two R=2 rows\n%s", tables[1].Render())
+	// Overhead rows: the R=1 baseline first, then two R=2 rows.
+	rows := overheadRows(opt)
+	if len(rows) != 3 || rows[0].Replication != nil {
+		t.Fatalf("overhead rows should be the R=1 baseline + two R=2 rows, got %d", len(rows))
 	}
-	for _, row := range ov[1:] {
-		if row[6] == "0" {
-			t.Fatalf("config %q recorded no replica sends\n%s", row[0], tables[1].Render())
+	ov := sweep(opt, 1, rows)
+	requirePassed(t, ov...)
+	for i, g := range ov[1:] {
+		if g[0].Count(metrics.ReplicaSends) == 0 {
+			t.Fatalf("config %q recorded no replica sends", rows[i+1].Name)
 		}
 	}
-	// Promotion latency must have reached the quantile table.
-	families := map[string]bool{}
-	for _, row := range tables[2].Rows {
-		families[row[0]] = true
-	}
+	// Promotion latency must reach the quantile table.
+	got := families(kills...)
 	for _, want := range []string{"replica_promotion", "replication_overhead"} {
-		if !families[want] {
-			t.Fatalf("family %q missing from latency table\n%s", want, tables[2].Render())
+		if !got[want] {
+			t.Fatalf("family %q missing from the merged latencies: %v", want, got)
 		}
 	}
 }
@@ -271,33 +312,29 @@ func TestReplicaSoak(t *testing.T) {
 // race builds shrink the sweep from 20 seeds to 4 per mode.
 func TestDurabilitySoak(t *testing.T) {
 	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runDurabilitySoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := 2 * 20
+	groups := sweep(opt, soakSeeds(opt, 20, 4),
+		[]Scenario{durabilityRow(mpi.ReplFanout), durabilityRow(mpi.ReplChain)})
+	requirePassed(t, groups...)
+	wantSeeds := 20
 	if opt.Quick {
-		wantRows = 2 * 4
-	}
-	rows := tables[0].Rows
-	if len(rows) != wantRows {
-		t.Fatalf("want %d seed rows, got %d\n%s", wantRows, len(rows), tables[0].Render())
+		wantSeeds = 4
 	}
 	placements := map[string]bool{}
-	for _, row := range rows {
-		placements[row[3]] = true
+	for _, g := range groups {
+		if len(g) != wantSeeds {
+			t.Fatalf("want %d seed verdicts per mode, got %d", wantSeeds, len(g))
+		}
+		for _, v := range g {
+			placements[v.Kill.Point.String()] = true
+		}
 	}
 	if !placements["forward-window"] || !placements["mid-collective"] {
-		t.Fatalf("sweep covered only placement(s) %v — kills must land both inside the chain forward window and mid-collective\n%s",
-			placements, tables[0].Render())
+		t.Fatalf("sweep covered only placement(s) %v — kills must land both inside the chain forward window and mid-collective",
+			placements)
 	}
-	// The re-replication latency must have reached the quantile table.
-	families := map[string]bool{}
-	for _, row := range tables[1].Rows {
-		families[row[0]] = true
-	}
-	if !families["rereplication_latency"] {
-		t.Fatalf("family %q missing from latency table\n%s", "rereplication_latency", tables[1].Render())
+	// The re-replication latency must reach the quantile table.
+	if got := families(groups...); !got["rereplication_latency"] {
+		t.Fatalf("family %q missing from the merged latencies: %v", "rereplication_latency", got)
 	}
 }
 
